@@ -64,6 +64,7 @@ struct ThreadPool::Impl {
   const std::function<void(size_t)> *JobFn = nullptr;
   std::atomic<size_t> Remaining{0};
   uint64_t JobGen = 0;
+  unsigned Active = 0; // workers inside drain(); guarded by JobM
   bool Shutdown = false;
 
   // The detached background lane: one dedicated thread, FIFO queue,
@@ -154,8 +155,16 @@ struct ThreadPool::Impl {
           return;
         SeenGen = JobGen;
         Fn = JobFn;
+        // Woke after the caller retired this generation: the next
+        // job's tasks may already sit in the deques, but not its Fn.
+        if (!Fn)
+          continue;
+        ++Active;
       }
       drain(Self, *Fn);
+      std::lock_guard<std::mutex> Lock(JobM);
+      if (--Active == 0)
+        DoneCV.notify_all();
     }
   }
 };
@@ -242,12 +251,15 @@ void ThreadPool::parallelFor(size_t NumTasks,
     ++P->JobGen;
     P->JobCV.notify_all();
   }
-  // The caller works too, then waits out the barrier.
+  // The caller works too, then waits out the barrier: every task done
+  // and every worker out of drain(), so none can pop the next job's
+  // tasks while still holding this job's Fn.
   P->drain(0, Fn);
   uint64_t T0 = nowNanos();
   std::unique_lock<std::mutex> Lock(P->JobM);
   P->DoneCV.wait(Lock, [&] {
-    return P->Remaining.load(std::memory_order_acquire) == 0;
+    return P->Remaining.load(std::memory_order_acquire) == 0 &&
+           P->Active == 0;
   });
   P->Stats[0]->IdleNanos.fetch_add(nowNanos() - T0,
                                    std::memory_order_relaxed);

@@ -11,6 +11,12 @@
 /// the front), and a single blocking entry point `parallelFor` that acts
 /// as a barrier — it returns only once every task has finished.
 ///
+/// Handoff invariant: parallelFor returns only after every worker has
+/// left the job (no worker is still inside its drain loop holding the
+/// job's closure), and a worker never runs a job whose closure has
+/// already been retired — one that wakes after the barrier skips that
+/// generation. So back-to-back jobs never see each other's tasks.
+///
 /// Tasks must not throw; error reporting happens through whatever state
 /// the task closure captures (the evaluator records the lexically first
 /// failing iteration under its own mutex).

@@ -2,8 +2,9 @@
 //
 // Covers the dependence-driven parallel subsystem end to end:
 //
-//  * ThreadPool: every task runs exactly once, single-thread pools stay
-//    inline, HAC_THREADS steers the default worker count.
+//  * ThreadPool: every task runs exactly once, also across back-to-back
+//    jobs (the job handoff), single-thread pools stay inline,
+//    HAC_THREADS steers the default worker count.
 //  * ParPlanner: the SOR interior nest proves a wavefront, independent
 //    stencils prove DOALL, recurrences and ring-buffer passes stay
 //    serial with a human-readable witness.
@@ -86,6 +87,26 @@ TEST(ThreadPool, ReusableAcrossCalls) {
   for (int Round = 0; Round != 50; ++Round)
     Pool.parallelFor(17, [&](size_t I) { Sum += I; });
   EXPECT_EQ(Sum.load(), 50u * (16u * 17u / 2u));
+}
+
+// Back-to-back tiny jobs stress the handoff between one parallelFor and
+// the next: a worker still draining job k must not pop job k+1's tasks
+// under job k's closure, and a worker that sleeps through a whole job
+// must not wake up into a retired one. Each job's closure refers to a
+// vector on the loop's own stack, so a task run under a stale closure
+// touches a dead frame (a crash, or an ASan report) or is lost from the
+// live job's count; a lost barrier decrement hangs instead.
+TEST(ThreadPool, BackToBackTinyJobs) {
+  par::ThreadPool Pool(16);
+  constexpr size_t Jobs = 200000, Tasks = 4;
+  size_t Bad = 0;
+  for (size_t Job = 0; Job != Jobs; ++Job) {
+    std::vector<std::atomic<unsigned>> Runs(Tasks);
+    Pool.parallelFor(Tasks, [&Runs](size_t I) { ++Runs[I]; });
+    for (size_t I = 0; I != Tasks; ++I)
+      Bad += Runs[I].load() != 1;
+  }
+  EXPECT_EQ(Bad, 0u) << "tasks that did not run exactly once";
 }
 
 TEST(ThreadPool, SingleThreadRunsInline) {
